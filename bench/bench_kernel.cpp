@@ -30,7 +30,11 @@
 //
 // Each scenario runs PSOODB_BENCH_KERNEL_REPS repetitions (default 3; 1 in
 // --quick mode) and reports the fastest (best-of-N rejects host scheduler
-// noise; the simulations themselves are deterministic). `--quick` shrinks
+// noise; the simulations themselves are deterministic). fig08_point and
+// parallel_point also report heap allocations per event from the last
+// repetition (counted by alloc_counter.cpp's operator new; the frame pools
+// are warm by then), which the perf-smoke gate holds to a ceiling: the
+// steady-state event path is meant not to allocate. `--quick` shrinks
 // the workloads so the whole suite finishes in a few seconds — that mode is
 // registered as the `bench_kernel_quick` ctest.
 //
@@ -46,6 +50,7 @@
 #include <string>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "config/params.h"
 #include "core/system.h"
 #include "figure_harness.h"
@@ -241,14 +246,16 @@ std::uint64_t ParallelPoint(const Sizes& sz, double* serial_share) {
 
 KernelScenarioResult RunScenario(const char* name,
                                  std::uint64_t (*fn)(const Sizes&, double*),
-                                 const Sizes& sz, int reps) {
+                                 bool count_allocs, const Sizes& sz, int reps) {
   KernelScenarioResult best;
   best.name = name;
   for (int r = 0; r < reps; ++r) {
+    const std::uint64_t allocs0 = HeapAllocations();
     const double t0 = Now();
     double serial_share = -1;
     const std::uint64_t events = fn(sz, &serial_share);
     const double wall = Now() - t0;
+    const std::uint64_t allocs = HeapAllocations() - allocs0;
     const double rate = wall > 0 ? static_cast<double>(events) / wall : 0;
     if (r == 0 || rate > best.events_per_sec) {
       best.events = events;
@@ -256,12 +263,19 @@ KernelScenarioResult RunScenario(const char* name,
       best.events_per_sec = rate;
       best.serial_share = serial_share;
     }
+    if (count_allocs && events > 0) {
+      best.allocs_per_event =
+          static_cast<double>(allocs) / static_cast<double>(events);
+    }
   }
   std::printf("%-14s %12llu events %10.3fs %14.0f events/sec", name,
               static_cast<unsigned long long>(best.events), best.wall_seconds,
               best.events_per_sec);
   if (best.serial_share >= 0) {
     std::printf("  serial_share=%.3f", best.serial_share);
+  }
+  if (best.allocs_per_event >= 0) {
+    std::printf("  allocs/event=%.4f", best.allocs_per_event);
   }
   std::printf("\n");
   std::fflush(stdout);
@@ -298,17 +312,20 @@ int Main(int argc, char** argv) {
   const struct {
     const char* name;
     std::uint64_t (*fn)(const Sizes&, double*);
-  } kScenarios[] = {{"sched_churn", SchedChurn},
-                    {"cancel_heavy", CancelHeavy},
-                    {"chan_pingpong", ChanPingpong},
-                    {"task_nesting", TaskNesting},
-                    {"fig08_point", Fig08Point},
-                    {"telemetry_point", TelemetryPoint},
-                    {"parallel_point", ParallelPoint}};
+    bool count_allocs;
+  } kScenarios[] = {{"sched_churn", SchedChurn, false},
+                    {"cancel_heavy", CancelHeavy, false},
+                    {"chan_pingpong", ChanPingpong, false},
+                    {"task_nesting", TaskNesting, false},
+                    {"fig08_point", Fig08Point, true},
+                    {"telemetry_point", TelemetryPoint, false},
+                    {"parallel_point", ParallelPoint, true}};
 
   std::vector<KernelScenarioResult> rows;
   for (const auto& s : kScenarios) {
-    if (selected(s.name)) rows.push_back(RunScenario(s.name, s.fn, sz, reps));
+    if (selected(s.name)) {
+      rows.push_back(RunScenario(s.name, s.fn, s.count_allocs, sz, reps));
+    }
   }
 
   const char* json_dir = std::getenv("PSOODB_BENCH_JSON_DIR");

@@ -4,15 +4,18 @@
 /// item records it here, and incoming callbacks test for conflicts against
 /// these sets. PS-AA additionally records both granularities so locks can be
 /// de-escalated (Section 3.3.3).
+///
+/// The sets are util::FlatSets: they keep their storage across Clear(), so
+/// recording a transaction's footprint allocates only while a client's
+/// transactions are still growing past their largest so far, and
+/// iteration is in first-touch order.
 
 #ifndef PSOODB_CC_LOCAL_LOCKS_H_
 #define PSOODB_CC_LOCAL_LOCKS_H_
 
-#include <unordered_map>
-#include <unordered_set>
-
 #include "storage/types.h"
 #include "trace/trace.h"
+#include "util/flat_hash.h"
 
 namespace psoodb::cc {
 
@@ -40,38 +43,45 @@ class LocalTxnLocks {
 
   // --- Footprint (what the transaction has touched) -----------------------
 
-  void RecordRead(storage::ObjectId oid, storage::PageId page) {
-    read_objects_.insert(oid);
-    read_pages_.insert(page);
+  /// Which parts of a recorded access are new to the read footprint. The
+  /// client pins each newly read object (OS) or page (page family), so its
+  /// pins are exactly read_objects() / read_pages().
+  struct FirstRead {
+    bool object = false;
+    bool page = false;
+  };
+
+  FirstRead RecordRead(storage::ObjectId oid, storage::PageId page) {
+    return {read_objects_.insert(oid), read_pages_.insert(page)};
   }
-  void RecordWrite(storage::ObjectId oid, storage::PageId page) {
+  FirstRead RecordWrite(storage::ObjectId oid, storage::PageId page) {
     write_objects_.insert(oid);
     write_pages_.insert(page);
     // A writer also reads.
-    read_objects_.insert(oid);
-    read_pages_.insert(page);
+    return RecordRead(oid, page);
   }
 
   bool ReadsObject(storage::ObjectId oid) const {
-    return read_objects_.count(oid) > 0;
+    return read_objects_.contains(oid);
   }
   bool WritesObject(storage::ObjectId oid) const {
-    return write_objects_.count(oid) > 0;
+    return write_objects_.contains(oid);
   }
+  /// True if the transaction read or wrote `page` (writes are also reads).
   bool UsesPage(storage::PageId page) const {
-    return read_pages_.count(page) > 0 || write_pages_.count(page) > 0;
+    return read_pages_.contains(page);
   }
 
-  const std::unordered_set<storage::ObjectId>& read_objects() const {
+  const util::FlatSet<storage::ObjectId>& read_objects() const {
     return read_objects_;
   }
-  const std::unordered_set<storage::ObjectId>& write_objects() const {
+  const util::FlatSet<storage::ObjectId>& write_objects() const {
     return write_objects_;
   }
-  const std::unordered_set<storage::PageId>& read_pages() const {
+  const util::FlatSet<storage::PageId>& read_pages() const {
     return read_pages_;
   }
-  const std::unordered_set<storage::PageId>& write_pages() const {
+  const util::FlatSet<storage::PageId>& write_pages() const {
     return write_pages_;
   }
 
@@ -90,7 +100,7 @@ class LocalTxnLocks {
     }
   }
   bool HasPageWrite(storage::PageId page) const {
-    return page_write_locks_.count(page) > 0;
+    return page_write_locks_.contains(page);
   }
   void GrantObjectWrite(storage::ObjectId oid) {
     object_write_locks_.insert(oid);
@@ -99,12 +109,12 @@ class LocalTxnLocks {
     }
   }
   bool HasObjectWrite(storage::ObjectId oid) const {
-    return object_write_locks_.count(oid) > 0;
+    return object_write_locks_.contains(oid);
   }
-  const std::unordered_set<storage::PageId>& page_write_locks() const {
+  const util::FlatSet<storage::PageId>& page_write_locks() const {
     return page_write_locks_;
   }
-  const std::unordered_set<storage::ObjectId>& object_write_locks() const {
+  const util::FlatSet<storage::ObjectId>& object_write_locks() const {
     return object_write_locks_;
   }
 
@@ -112,14 +122,14 @@ class LocalTxnLocks {
   trace::Tracer* tracer_ = nullptr;
   storage::ClientId client_ = storage::kNoClient;
   storage::TxnId txn_ = storage::kNoTxn;
-  std::unordered_set<storage::ObjectId> read_objects_;
-  std::unordered_set<storage::ObjectId> write_objects_;
-  std::unordered_set<storage::PageId> read_pages_;
-  std::unordered_set<storage::PageId> write_pages_;
+  util::FlatSet<storage::ObjectId> read_objects_;
+  util::FlatSet<storage::ObjectId> write_objects_;
+  util::FlatSet<storage::PageId> read_pages_;
+  util::FlatSet<storage::PageId> write_pages_;
   /// Pages on which the server granted this transaction a page write lock.
-  std::unordered_set<storage::PageId> page_write_locks_;
+  util::FlatSet<storage::PageId> page_write_locks_;
   /// Objects on which the server granted this transaction an object X lock.
-  std::unordered_set<storage::ObjectId> object_write_locks_;
+  util::FlatSet<storage::ObjectId> object_write_locks_;
 };
 
 }  // namespace psoodb::cc

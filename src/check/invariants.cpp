@@ -101,6 +101,20 @@ void InvariantChecker::CheckAll() {
   CheckClientCaches();
   CheckSingleWriter();
   CheckReadFootprints();
+  CheckServerBuffers();
+}
+
+void InvariantChecker::CheckServerBuffers() {
+  for (int i = 0; i < system_.num_servers(); ++i) {
+    core::Server& srv = system_.server(i);
+    int scanned = 0;
+    srv.buffer().ForEach([&scanned](PageId, const storage::PageFrame& f) {
+      if (f.IsDirty()) ++scanned;
+    });
+    Expect(srv.dirty_pages() == scanned,
+           "server %d counts %d dirty buffered pages but holds %d", i,
+           srv.dirty_pages(), scanned);
+  }
 }
 
 void InvariantChecker::CheckLockTables() {
@@ -156,7 +170,9 @@ void InvariantChecker::CheckClientCaches() {
                "client %d caches object %lld without a server copy "
                "registration",
                cid, L(oid));
-        if (f.dirty && !terminating) {
+        if (f.dirty) {
+          // Dirty ⊆ write footprint, terminating clients included: commit
+          // and abort find the dirty frames through the footprint.
           Expect(c.active_txn() != kNoTxn,
                  "client %d: dirty object %lld with no active transaction",
                  cid, L(oid));
@@ -164,9 +180,11 @@ void InvariantChecker::CheckClientCaches() {
                  "client %d: dirty object %lld not in the transaction's "
                  "write set",
                  cid, L(oid));
-          Expect(ll.HasObjectWrite(oid),
-                 "client %d: dirty object %lld without a write permission",
-                 cid, L(oid));
+          if (!terminating) {
+            Expect(ll.HasObjectWrite(oid),
+                   "client %d: dirty object %lld without a write permission",
+                   cid, L(oid));
+          }
         }
       });
       continue;
@@ -192,20 +210,27 @@ void InvariantChecker::CheckClientCaches() {
                  cid, L(oid), page, s);
         }
       }
-      if (f.dirty != 0 && !terminating) {
+      if (f.dirty != 0) {
+        // Dirty ⊆ write footprint, terminating clients included: commit and
+        // abort find the dirty frames through the footprint.
         Expect(c.active_txn() != kNoTxn,
                "client %d: dirty page %d with no active transaction", cid,
                page);
+        Expect(ll.write_pages().contains(page),
+               "client %d: dirty page %d not in the transaction's write "
+               "footprint",
+               cid, page);
         for (int s = 0; s < params.objects_per_page; ++s) {
           if ((f.dirty & storage::SlotBit(s)) == 0) continue;
           ObjectId oid = layout.ObjectAt(page, s);
-          Expect(f.IsAvailable(s),
-                 "client %d: dirty slot %d of page %d is marked unavailable",
-                 cid, s, page);
           Expect(ll.WritesObject(oid),
                  "client %d: dirty object %lld not in the transaction's "
                  "write set",
                  cid, L(oid));
+          if (terminating) continue;
+          Expect(f.IsAvailable(s),
+                 "client %d: dirty slot %d of page %d is marked unavailable",
+                 cid, s, page);
           Expect(ll.HasPageWrite(page) || ll.HasObjectWrite(oid),
                  "client %d: dirty object %lld without a write permission",
                  cid, L(oid));
@@ -231,7 +256,7 @@ void InvariantChecker::CheckSingleWriter() {
     const TxnId txn = c.active_txn();
     const cc::LocalTxnLocks& ll = c.local_locks();
 
-    for (PageId p : ll.page_write_locks()) {  // det-ok: invariant sweep; Expect only reports, nothing feeds the sim
+    for (PageId p : ll.page_write_locks()) {
       Expect(txn != kNoTxn,
              "client %d holds a page write permission on %d with no active "
              "transaction",
@@ -252,7 +277,7 @@ void InvariantChecker::CheckSingleWriter() {
              cid, U(txn), p, U(holder));
     }
 
-    for (ObjectId o : ll.object_write_locks()) {  // det-ok: invariant sweep; Expect only reports, nothing feeds the sim
+    for (ObjectId o : ll.object_write_locks()) {
       Expect(txn != kNoTxn,
              "client %d holds an object write permission on %lld with no "
              "active transaction",
@@ -287,7 +312,7 @@ void InvariantChecker::CheckSingleWriter() {
              "client %d",
              p, writer, other.id());
       if (other.active_txn() != kNoTxn) {
-        Expect(other.local_locks().read_pages().count(p) == 0,
+        Expect(!other.local_locks().read_pages().contains(p),
                "page %d is write-permitted at client %d but read by txn %llu "
                "at client %d",
                p, writer, U(other.active_txn()), other.id());
@@ -316,7 +341,7 @@ void InvariantChecker::CheckReadFootprints() {
     if (txn == kNoTxn) continue;
     const cc::LocalTxnLocks& ll = c.local_locks();
     if (proto == Protocol::kOS) {
-      for (ObjectId o : ll.read_objects()) {  // det-ok: invariant sweep; Expect only reports, nothing feeds the sim
+      for (ObjectId o : ll.read_objects()) {
         Expect(c.PeekObject(o) != nullptr,
                "client %d txn %llu read object %lld but no longer caches it "
                "(a local read lock was silently dropped)",
@@ -327,7 +352,7 @@ void InvariantChecker::CheckReadFootprints() {
       // objects read from it. Slot availability is *not* invariant here — a
       // later ship may mark a locally-read object unavailable while the
       // deferred "in use" callback reply is still outstanding.
-      for (PageId p : ll.read_pages()) {  // det-ok: invariant sweep; Expect only reports, nothing feeds the sim
+      for (PageId p : ll.read_pages()) {
         Expect(c.PeekPage(p) != nullptr,
                "client %d txn %llu uses page %d but no longer caches it "
                "(a local read lock was silently dropped)",

@@ -127,6 +127,7 @@ class InvariantChecker {
   void CheckClientCaches();
   void CheckSingleWriter();
   void CheckReadFootprints();
+  void CheckServerBuffers();
 
   core::System& system_;
   Options opts_;

@@ -58,7 +58,8 @@ void Client::EndTxnLocal() {
 void Client::NoteRead(ObjectId oid, Version version, bool own_write) {
   if (own_write) return;
   ctx_.CheckCacheValidity(oid, version);
-  read_versions_.emplace(oid, version);  // first read wins
+  // Only the commit record reads these back; the first read wins.
+  if (ctx_.history != nullptr) read_versions_.emplace(oid, version);
 }
 
 void Client::ReplyCallback(const std::shared_ptr<CallbackBatch>& batch,
@@ -189,15 +190,10 @@ bool PageFamilyClient::CachedAvailable(ObjectId oid) const {
   return f->IsAvailable(slot);
 }
 
-void PageFamilyClient::PinForTxn(PageId page) {
-  if (pinned_pages_.insert(page).second) cache_.Pin(page);
-}
-
 void PageFamilyClient::UnpinAll() {
-  for (PageId p : pinned_pages_) {  // det-ok: commutative unpin, no events
+  for (PageId p : locks_.read_pages()) {
     if (cache_.Contains(p)) cache_.Unpin(p);
   }
-  pinned_pages_.clear();
 }
 
 void PageFamilyClient::LocalRead(ObjectId oid) {
@@ -222,9 +218,8 @@ void PageFamilyClient::LocalRead(ObjectId oid) {
                  (unsigned long long)f->dirty);
   }
   NoteRead(oid, f->versions[static_cast<std::size_t>(slot)], own);
-  locks_.RecordRead(oid, PageOf(oid));
   // The cached copy is this transaction's read lock: keep it resident.
-  PinForTxn(PageOf(oid));
+  if (locks_.RecordRead(oid, PageOf(oid)).page) cache_.Pin(PageOf(oid));
 }
 
 void PageFamilyClient::MarkLocalWrite(ObjectId oid) {
@@ -240,8 +235,7 @@ void PageFamilyClient::MarkLocalWrite(ObjectId oid) {
     f->pending_growth +=
         static_cast<int>(rng_.UniformInt(1, std::max(1, (int)max_growth)));
   }
-  locks_.RecordWrite(oid, PageOf(oid));
-  PinForTxn(PageOf(oid));
+  if (locks_.RecordWrite(oid, PageOf(oid)).page) cache_.Pin(PageOf(oid));
 }
 
 void PageFamilyClient::HandleEviction(PageId page,
@@ -268,7 +262,7 @@ void PageFamilyClient::HandleEviction(PageId page,
   }
 }
 
-int PageFamilyClient::ApplyShip(const PageShip& ship) {
+int PageFamilyClient::ApplyShip(PageShip&& ship) {
   if (ctx_.TracingPage(ship.page)) {
     ctx_.Trace("CLI %d applyship p=%d mask=%llx txn=%llu", id_, ship.page,
                (unsigned long long)ship.unavailable,
@@ -278,12 +272,12 @@ int PageFamilyClient::ApplyShip(const PageShip& ship) {
   storage::PageFrame* f = r.value;
   int merged = 0;
   if (r.inserted) {
-    f->versions = ship.versions;
+    f->versions = std::move(ship.versions);
     f->unavailable = ship.unavailable;
     f->dirty = 0;
     // Re-mark any of this transaction's own updates on the page (the frame
     // was dirty-evicted earlier); they are still logically uncommitted here.
-    for (ObjectId oid : locks_.write_objects()) {  // det-ok: commutative bitmask OR
+    for (ObjectId oid : locks_.write_objects()) {
       if (PageOf(oid) == ship.page) f->MarkDirty(SlotOf(oid));
     }
     f->unavailable &= ~f->dirty;
@@ -309,32 +303,30 @@ int PageFamilyClient::ApplyShip(const PageShip& ship) {
 
 sim::Task PageFamilyClient::Commit() {
   txn_committing_ = true;
-  // Group still-cached dirty pages by owning (partition) server. Ordered
-  // map: the loop below sends one commit message per server, and that wire
-  // order must not depend on a hash table's bucket layout.
-  std::map<int, std::vector<PageUpdate>> by_server;
-  std::unordered_map<int, int> objects_per_server;
-  std::vector<PageUpdate> all_updates;
-  cache_.ForEach([&](PageId p, const storage::PageFrame& f) {
-    if (f.IsDirty()) {
-      PageUpdate u{p, f.dirty, f.pending_growth};
-      by_server[ctx_.params.ServerOfPage(p)].push_back(u);
-      objects_per_server[ctx_.params.ServerOfPage(p)] +=
-          storage::PopCount(f.dirty);
-      all_updates.push_back(u);
-    }
-  });
+  // Group still-cached dirty pages by owning (partition) server, MRU first
+  // within each. Ordered map: the loop below sends one commit message per
+  // server, and that wire order must not depend on a hash table's layout.
+  // Each entry carries the server's updated-object count.
+  CollectDirty(cache_, locks_.write_pages(), &dirty_);
+  std::map<int, std::pair<std::vector<PageUpdate>, int>> by_server;
+  for (const auto& [stamp, p] : dirty_) {
+    const storage::PageFrame& f = *cache_.Peek(p);
+    auto& entry = by_server[ctx_.params.ServerOfPage(p)];
+    entry.first.push_back({p, f.dirty, f.pending_growth});
+    entry.second += storage::PopCount(f.dirty);
+  }
   // A read-only transaction still confirms its commit with its home server
   // (releasing any server-side state and forcing the commit record).
   if (by_server.empty()) by_server[0] = {};
 
   std::vector<sim::Future<CommitAck>> acks;
-  for (auto& [sidx, updates] : by_server) {
+  for (auto& [sidx, entry] : by_server) {
+    auto& [updates, objects] = entry;
     // Commit payload: whole pages, or just log records under redo-at-server.
     const int payload =
         ctx_.params.commit_mode == config::CommitMode::kRedoAtServer
-            ? objects_per_server[sidx] * (ctx_.params.log_record_bytes +
-                                          ctx_.params.object_size_bytes())
+            ? objects * (ctx_.params.log_record_bytes +
+                         ctx_.params.object_size_bytes())
             : static_cast<int>(updates.size()) * ctx_.params.page_size_bytes;
     sim::Promise<CommitAck> pr(ctx_.sim);
     acks.push_back(pr.GetFuture());
@@ -342,7 +334,8 @@ sim::Task PageFamilyClient::Commit() {
     TxnId txn = txn_;
     ClientId from = id_;
     SendToServer(srv, MsgKind::kCommitReq, ctx_.transport.DataBytes(payload),
-                 [srv, txn, from, updates, pr = std::move(pr)]() mutable {
+                 [srv, txn, from, updates = std::move(updates),
+                  pr = std::move(pr)]() mutable {
                    srv->OnCommitReq(txn, from, std::move(updates), {},
                                     std::move(pr));
                  });
@@ -378,8 +371,8 @@ sim::Task PageFamilyClient::Commit() {
       f->versions[static_cast<std::size_t>(SlotOf(oid))] = v;
     }
   }
-  for (const auto& u : all_updates) {
-    if (storage::PageFrame* f = cache_.Peek(u.page)) {
+  for (const auto& [stamp, p] : dirty_) {
+    if (storage::PageFrame* f = cache_.Peek(p)) {
       f->dirty = 0;
       f->pending_growth = 0;
     }
@@ -389,18 +382,16 @@ sim::Task PageFamilyClient::Commit() {
 
 sim::Task PageFamilyClient::Abort() {
   txn_aborting_ = true;
-  // Purge updated pages from the cache (their uncommitted contents must not
-  // be visible to later transactions). Unpin first: the aborting
-  // transaction's footprint no longer needs residency.
-  UnpinAll();
-  std::unordered_map<int, std::vector<PageId>> purged_by_server;
-  std::vector<PageId> purged;
-  cache_.ForEach([&](PageId p, const storage::PageFrame& f) {
-    if (f.IsDirty()) purged.push_back(p);
-  });
-  for (PageId p : purged) {
+  // Purge updated pages from the cache, MRU first (their uncommitted
+  // contents must not be visible to later transactions). Each was pinned
+  // once when first read; EndTxnLocal unpins the rest of the footprint.
+  CollectDirty(cache_, locks_.write_pages(), &dirty_);
+  std::vector<std::vector<PageId>> purged_by_server(servers_.size());
+  for (const auto& [stamp, p] : dirty_) {
+    cache_.Unpin(p);
     cache_.Remove(p);
-    purged_by_server[ctx_.params.ServerOfPage(p)].push_back(p);
+    purged_by_server[static_cast<std::size_t>(ctx_.params.ServerOfPage(p))]
+        .push_back(p);
   }
 
   // Every server may hold locks or wait-edges for this transaction.
@@ -411,8 +402,7 @@ sim::Task PageFamilyClient::Abort() {
     Server* srv = servers_[sidx];
     TxnId txn = txn_;
     ClientId from = id_;
-    std::vector<PageId> mine =
-        std::move(purged_by_server[static_cast<int>(sidx)]);
+    std::vector<PageId> mine = std::move(purged_by_server[sidx]);
     SendToServer(srv, MsgKind::kAbortReq, ctx_.transport.ControlBytes(),
                  [srv, txn, from, mine = std::move(mine),
                   pr = std::move(pr)]() mutable {

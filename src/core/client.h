@@ -9,10 +9,11 @@
 #ifndef PSOODB_CORE_CLIENT_H_
 #define PSOODB_CORE_CLIENT_H_
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "cc/local_locks.h"
@@ -25,6 +26,7 @@
 #include "storage/object_cache.h"
 #include "trace/trace.h"
 #include "util/annotations.h"
+#include "util/flat_hash.h"
 #include "workload/workload.h"
 
 namespace psoodb::core {
@@ -107,10 +109,13 @@ class Client {
   /// Locking a cached copy *is* the read permission, so items read or
   /// written by the active transaction are pinned until it ends — evicting
   /// one would silently drop a read lock (requires the client cache to be
-  /// larger than a transaction's page footprint; System asserts this).
+  /// larger than a transaction's page footprint; System asserts this). Each
+  /// item is pinned once, when it first enters the read footprint, so the
+  /// pins are exactly locks_.read_pages() (page family) or read_objects()
+  /// (OS) minus whatever Abort already purged.
   virtual void UnpinAll() PSOODB_RELEASES(pin) {}
-  /// Records the version observed by a read (first read wins) and checks the
-  /// cache-validity invariant. Call with own_write=true for reads of objects
+  /// Checks the cache-validity invariant for a read and, when history is
+  /// recorded, the version it observed (first read wins). Call with own_write=true for reads of objects
   /// this transaction has already written (skips both).
   void NoteRead(storage::ObjectId oid, storage::Version version,
                 bool own_write);
@@ -189,7 +194,7 @@ class Client {
   bool txn_committing_ = false;
   bool txn_aborting_ = false;
   cc::LocalTxnLocks locks_;
-  std::unordered_map<storage::ObjectId, storage::Version> read_versions_;
+  util::FlatMap<storage::ObjectId, storage::Version> read_versions_;
   std::vector<sim::InlineFunction> deferred_;
 
   /// Client-side phase accumulator for the current commit cycle (think,
@@ -199,6 +204,25 @@ class Client {
   double rpc_start_ = 0;
   double rpc_server0_ = 0;
 };
+
+/// Fills `out` with the keys of `footprint` whose frames are cached and
+/// dirty, most recently used first, each with its recency stamp: the order
+/// a walk of the whole cache would meet them in, at the cost of the
+/// transaction's footprint rather than the cache's size. Commit and abort
+/// rely on every dirty frame being in the write footprint (an invariant
+/// the checker asserts).
+template <typename Key, typename Frame>
+void CollectDirty(const storage::LruCache<Key, Frame>& cache,
+                  const util::FlatSet<Key>& footprint,
+                  std::vector<std::pair<std::uint64_t, Key>>* out) {
+  out->clear();
+  for (Key k : footprint) {
+    const Frame* f = cache.Peek(k);
+    if (f != nullptr && f->IsDirty()) out->emplace_back(cache.recency(k), k);
+  }
+  std::sort(out->begin(), out->end(),
+            [](const auto& a, const auto& b) { return a.first > b.first; });
+}
 
 /// Shared base of the four page-transfer clients (PS, PS-OO, PS-OA, PS-AA).
 class PageFamilyClient : public Client {
@@ -225,8 +249,9 @@ class PageFamilyClient : public Client {
   /// Applies an arriving page ship to the cache: insert or merge (local
   /// uncommitted updates win). Returns the number of objects merged (to be
   /// charged at CopyMergeInst each by the caller). Handles eviction
-  /// side-effects (dirty install / eviction notice).
-  int ApplyShip(const PageShip& ship);
+  /// side-effects (dirty install / eviction notice). A newly inserted frame
+  /// takes over the ship's version vector.
+  int ApplyShip(PageShip&& ship);
 
   /// Marks a local update of `oid` in the cached frame (which must exist).
   void MarkLocalWrite(storage::ObjectId oid) PSOODB_ACQUIRES(pin);
@@ -243,10 +268,11 @@ class PageFamilyClient : public Client {
   void HandleEviction(storage::PageId page, storage::PageFrame&& frame);
 
   void UnpinAll() PSOODB_RELEASES(pin) override;
-  void PinForTxn(storage::PageId page) PSOODB_ACQUIRES(pin);
 
   storage::PageCache cache_;
-  std::unordered_set<storage::PageId> pinned_pages_;
+  /// Commit/abort scratch: the transaction's dirty pages with their recency
+  /// stamps (storage reused across transactions).
+  std::vector<std::pair<std::uint64_t, storage::PageId>> dirty_;
 };
 
 }  // namespace psoodb::core

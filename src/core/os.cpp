@@ -1,5 +1,6 @@
 #include "core/os.h"
 
+#include <map>
 
 #include "cc/abort.h"
 #include "check/invariants.h"
@@ -175,15 +176,10 @@ sim::Task OsClient::FetchObject(ObjectId oid) {
   }
 }
 
-void OsClient::PinForTxn(ObjectId oid) {
-  if (pinned_objects_.insert(oid).second) cache_.Pin(oid);
-}
-
 void OsClient::UnpinAll() {
-  for (ObjectId oid : pinned_objects_) {  // det-ok: commutative unpin, no events
+  for (ObjectId oid : locks_.read_objects()) {
     if (cache_.Contains(oid)) cache_.Unpin(oid);
   }
-  pinned_objects_.clear();
 }
 
 sim::Task OsClient::Read(ObjectId oid) {
@@ -198,9 +194,8 @@ sim::Task OsClient::Read(ObjectId oid) {
     ++ctx_.counters.cache_hits;
   }
   NoteRead(oid, f->version, f->dirty || locks_.WritesObject(oid));
-  locks_.RecordRead(oid, PageOf(oid));
   // The cached copy is this transaction's read lock: keep it resident.
-  PinForTxn(oid);
+  if (locks_.RecordRead(oid, PageOf(oid)).object) cache_.Pin(oid);
 }
 
 sim::Task OsClient::Write(ObjectId oid) {
@@ -226,21 +221,24 @@ sim::Task OsClient::Write(ObjectId oid) {
   if (cache_.Peek(oid) == nullptr) co_await FetchObject(oid);
   storage::ObjectFrame* f = cache_.Get(oid);
   f->dirty = true;
-  locks_.RecordWrite(oid, PageOf(oid));
-  PinForTxn(oid);
+  if (locks_.RecordWrite(oid, PageOf(oid)).object) cache_.Pin(oid);
 }
 
 sim::Task OsClient::Commit() {
   txn_committing_ = true;
-  // Updated objects still cached, grouped by page for the install and by
+  // Updated objects still cached (found through the write footprint, which
+  // holds every dirty object), grouped by page for the install and by
   // owning server for the fan-out. Ordered maps: the grouping decides both
   // the per-message update order and the wire order of the commit fan-out,
-  // neither of which may depend on hash-bucket layout.
+  // neither of which may depend on the footprint's order.
   std::map<PageId, SlotMask> masks;
   std::map<int, std::pair<std::vector<PageUpdate>, int>> by_server;
-  cache_.ForEach([&](ObjectId oid, const storage::ObjectFrame& f) {
-    if (f.dirty) masks[PageOf(oid)] |= storage::SlotBit(SlotOf(oid));
-  });
+  for (ObjectId oid : locks_.write_objects()) {
+    const storage::ObjectFrame* f = cache_.Peek(oid);
+    if (f != nullptr && f->dirty) {
+      masks[PageOf(oid)] |= storage::SlotBit(SlotOf(oid));
+    }
+  }
   for (const auto& [p, m] : masks) {
     auto& entry = by_server[ctx_.params.ServerOfPage(p)];
     entry.first.push_back({p, m});
@@ -258,7 +256,7 @@ sim::Task OsClient::Commit() {
     TxnId txn = txn_;
     ClientId from = id_;
     SendToServer(srv, MsgKind::kCommitReq, bytes,
-                 [srv, txn, from, updates = entry.first,
+                 [srv, txn, from, updates = std::move(entry.first),
                   pr = std::move(pr)]() mutable {
                    srv->OnCommitReq(txn, from, std::move(updates), {},
                                     std::move(pr));
@@ -294,15 +292,16 @@ sim::Task OsClient::Commit() {
 
 sim::Task OsClient::Abort() {
   txn_aborting_ = true;
-  UnpinAll();
-  std::vector<ObjectId> purged;
-  cache_.ForEach([&](ObjectId oid, const storage::ObjectFrame& f) {
-    if (f.dirty) purged.push_back(oid);
-  });
-  std::unordered_map<int, std::vector<ObjectId>> purged_by_server;
-  for (ObjectId oid : purged) {
+  // Purge updated objects, MRU first; each was pinned once when first read,
+  // and EndTxnLocal unpins the rest of the footprint.
+  CollectDirty(cache_, locks_.write_objects(), &dirty_);
+  std::vector<std::vector<ObjectId>> purged_by_server(servers_.size());
+  for (const auto& [stamp, oid] : dirty_) {
+    cache_.Unpin(oid);
     cache_.Remove(oid);
-    purged_by_server[ctx_.params.ServerOfPage(PageOf(oid))].push_back(oid);
+    purged_by_server[static_cast<std::size_t>(
+                         ctx_.params.ServerOfPage(PageOf(oid)))]
+        .push_back(oid);
   }
 
   std::vector<sim::Future<bool>> acks;
@@ -312,8 +311,7 @@ sim::Task OsClient::Abort() {
     Server* srv = servers_[sidx];
     TxnId txn = txn_;
     ClientId from = id_;
-    std::vector<ObjectId> mine =
-        std::move(purged_by_server[static_cast<int>(sidx)]);
+    std::vector<ObjectId> mine = std::move(purged_by_server[sidx]);
     SendToServer(srv, MsgKind::kAbortReq, ctx_.transport.ControlBytes(),
                  [srv, txn, from, mine = std::move(mine),
                   pr = std::move(pr)]() mutable {

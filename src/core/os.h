@@ -76,7 +76,6 @@ class OsClient : public Client {
   sim::Task FetchObject(storage::ObjectId oid);
   void HandleEviction(storage::ObjectId oid, storage::ObjectFrame&& frame);
   void UnpinAll() PSOODB_RELEASES(pin) override;
-  void PinForTxn(storage::ObjectId oid) PSOODB_ACQUIRES(pin);
 
   OsServer* OsServerFor(storage::PageId page) const {
     return os_servers_[static_cast<std::size_t>(
@@ -85,7 +84,9 @@ class OsClient : public Client {
 
   std::vector<OsServer*> os_servers_;
   storage::ObjectCache cache_;
-  std::unordered_set<storage::ObjectId> pinned_objects_;
+  /// Abort scratch: the transaction's dirty objects with their recency
+  /// stamps (storage reused across transactions).
+  std::vector<std::pair<std::uint64_t, storage::ObjectId>> dirty_;
 };
 
 }  // namespace psoodb::core

@@ -243,7 +243,7 @@ sim::Task PsAaClient::FetchFor(ObjectId oid) {
     PageShip ship = co_await std::move(fut);
     EndRpc();
     if (ship.aborted) throw cc::TxnAborted(txn_, cc::AbortReason::kVictim);
-    int merged = ApplyShip(ship);
+    int merged = ApplyShip(std::move(ship));
     if (merged > 0) {
       trace::PhaseTimer cpu_time(ctx_.tracer, txn_, trace::Phase::kClientCpu);
       co_await cpu_.System(ctx_.params.copy_merge_inst * merged);
@@ -330,11 +330,11 @@ void PsAaClient::OnDeEscalate(PageId page,
                               sim::Promise<std::vector<ObjectId>> reply) {
   std::vector<ObjectId> written;
   if (locks_.HasPageWrite(page)) {
-    for (ObjectId oid : locks_.write_objects()) {  // det-ok: sorted below
+    for (ObjectId oid : locks_.write_objects()) {
       if (PageOf(oid) == page) written.push_back(oid);
     }
     // The list rides the de-escalation reply and the server takes object
-    // locks in list order; sort so the wire content is hash-independent.
+    // locks in list order: object-id order, not the order of first write.
     std::sort(written.begin(), written.end());
     locks_.RevokePageWrite(page);
     for (ObjectId oid : written) locks_.GrantObjectWrite(oid);

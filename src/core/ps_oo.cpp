@@ -178,7 +178,7 @@ sim::Task PsOoClient::FetchFor(ObjectId oid) {
     PageShip ship = co_await std::move(fut);
     EndRpc();
     if (ship.aborted) throw cc::TxnAborted(txn_, cc::AbortReason::kVictim);
-    int merged = ApplyShip(ship);
+    int merged = ApplyShip(std::move(ship));
     if (merged > 0) {
       trace::PhaseTimer cpu_time(ctx_.tracer, txn_, trace::Phase::kClientCpu);
       co_await cpu_.System(ctx_.params.copy_merge_inst * merged);

@@ -187,7 +187,7 @@ sim::Task PsWtClient::Write(ObjectId oid) {
     EndRpc();
     if (grant.aborted) throw cc::TxnAborted(txn_, cc::AbortReason::kVictim);
     if (grant.with_page) {
-      int merged = ApplyShip(grant.page);
+      int merged = ApplyShip(std::move(grant.page));
       if (merged > 0) {
         trace::PhaseTimer cpu_time(ctx_.tracer, txn_,
                                    trace::Phase::kClientCpu);

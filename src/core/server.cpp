@@ -77,6 +77,7 @@ sim::Task Server::EnsureBuffered(PageId page, bool load, TxnId txn) {
   }
   auto r = buffer_.Insert(page);
   if (r.evicted.has_value() && r.evicted->second.IsDirty()) {
+    --dirty_pages_;
     co_await DiskIo(/*write=*/true, txn, r.evicted->first);
   }
 }
@@ -190,7 +191,7 @@ void Server::FinishCallbackReply(const std::shared_ptr<CallbackBatch>& batch,
     ++ctx_.counters.callbacks_blocked;
     batch->new_blockers.push_back(reply.blocking_txn);
   } else {
-    batch->outcomes.emplace_back(from, reply.outcome);
+    batch->outcomes.push_back({from, reply.outcome});
     --batch->pending;
     if (batch->on_final) batch->on_final(from, reply.outcome);
   }
@@ -228,6 +229,7 @@ sim::Task Server::InstallCommittedPage(TxnId txn, PageId page, SlotMask mask,
   storage::PageFrame* frame = buffer_.Get(page);
   PSOODB_CHECK(frame != nullptr, "committed page %d not resident at server",
                page);
+  if (!frame->IsDirty() && mask != 0) ++dirty_pages_;
   frame->dirty |= mask;  // needs a disk write before the frame is reused
   const auto& layout = ctx_.db.layout();
   for (int s = 0; s < ctx_.params.objects_per_page; ++s) {

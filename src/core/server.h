@@ -22,6 +22,7 @@
 #include "sim/pool.h"
 #include "storage/buffer_manager.h"
 #include "util/annotations.h"
+#include "util/small_vector.h"
 
 namespace psoodb::core {
 
@@ -39,8 +40,12 @@ struct CallbackBatch {
   /// Blocking transactions discovered via "in use" replies, not yet
   /// registered in the waits-for graph by the handler.
   std::vector<storage::TxnId> new_blockers;
-  /// Final outcomes, as (client, outcome).
-  std::vector<std::pair<storage::ClientId, CallbackOutcome>> outcomes;
+  /// Final outcomes in arrival order (inline for the usual few holders).
+  struct Outcome {
+    storage::ClientId client;
+    CallbackOutcome outcome;
+  };
+  util::SmallVector<Outcome, 4> outcomes;
   /// Applied synchronously when a final outcome arrives — copy-table
   /// unregistration must happen *at reply delivery*: the replying client's
   /// later requests (e.g. a re-fetch that re-registers the page) are
@@ -80,15 +85,10 @@ class Server {
   std::uint64_t buffer_hits() const { return buf_hits_; }
   /// Callback fan-out rounds currently awaiting their drain.
   int callback_rounds_inflight() const { return cb_rounds_inflight_; }
-  /// Dirty pages currently in the buffer pool (O(buffer) scan; telemetry
-  /// probes call it once per tick).
-  int CountDirtyPages() const {
-    int n = 0;
-    buffer_.ForEach([&n](storage::PageId, const storage::PageFrame& f) {
-      if (f.IsDirty()) ++n;
-    });
-    return n;
-  }
+  /// Dirty pages currently in the buffer pool: a running count kept on
+  /// clean->dirty installs and dirty evictions (the invariant checker
+  /// compares it against a scan).
+  int dirty_pages() const { return dirty_pages_; }
   cc::DeadlockDetector& detector() { return *ctx_.detector; }
   storage::PageCache& buffer() { return buffer_; }
   cc::PageCopyTable& page_copies() { return page_copies_; }
@@ -238,6 +238,7 @@ class Server {
   std::uint64_t buf_lookups_ = 0;
   std::uint64_t buf_hits_ = 0;
   int cb_rounds_inflight_ = 0;
+  int dirty_pages_ = 0;
 };
 
 }  // namespace psoodb::core

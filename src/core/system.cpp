@@ -410,7 +410,7 @@ void System::BuildTelemetry() {
       return static_cast<double>(srv->callback_rounds_inflight());
     });
     ts.AddGauge(prefix + ".dirty_pages", [srv] {
-      return static_cast<double>(srv->CountDirtyPages());
+      return static_cast<double>(srv->dirty_pages());
     });
     ts.AddGauge(prefix + ".disk_queue", [srv] {
       return static_cast<double>(srv->disks().QueueLength());

@@ -1,7 +1,7 @@
 #include "resources/cpu.h"
 
-#include <vector>
 #include "util/check.h"
+#include "util/small_vector.h"
 
 namespace psoodb::resources {
 
@@ -99,7 +99,8 @@ void Cpu::Reschedule() {
 void Cpu::OnCompletion(std::uint64_t generation) {
   if (generation != generation_) return;  // stale
   Advance();
-  std::vector<Node*> done;
+  // Jobs finishing together: one, except for ties in processor sharing.
+  util::SmallVector<Node*, 8> done;
   if (!system_.empty() && system_.front()->remaining <= kEpsilonInst) {
     done.push_back(system_.front());
   }

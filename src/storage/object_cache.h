@@ -17,6 +17,8 @@ struct ObjectFrame {
   bool dirty = false;
   /// Version held (correctness checking only).
   Version version = 0;
+
+  bool IsDirty() const { return dirty; }
 };
 
 /// An LRU cache of object copies.

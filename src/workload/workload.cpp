@@ -1,7 +1,7 @@
 #include "workload/workload.h"
 
 #include <algorithm>
-#include <unordered_set>
+
 #include "util/check.h"
 
 namespace psoodb::workload {
@@ -31,10 +31,16 @@ TransactionSource::TransactionSource(const config::WorkloadParams& workload,
                "client %d has neither regions nor a custom generator", client);
 }
 
-std::vector<std::pair<PageId, int>> TransactionSource::ChoosePages(int n) {
-  std::vector<std::pair<PageId, int>> chosen;
-  chosen.reserve(n);
-  std::unordered_set<PageId> used;
+void TransactionSource::ChoosePages(int n) {
+  chosen_.clear();
+  // Pages already chosen; a transaction holds a few dozen, so a scan beats
+  // a hash set.
+  const auto used = [this](PageId cand) {
+    for (const auto& c : chosen_) {
+      if (c.first == cand) return true;
+    }
+    return false;
+  };
   const auto& regions = *regions_;
   for (int i = 0; i < n; ++i) {
     // Select a region by access probability.
@@ -51,14 +57,14 @@ std::vector<std::pair<PageId, int>> TransactionSource::ChoosePages(int n) {
     PageId page = -1;
     for (int attempt = 0; attempt < 64; ++attempt) {
       PageId cand = static_cast<PageId>(rng_.UniformInt(reg.lo, reg.hi));
-      if (used.insert(cand).second) {
+      if (!used(cand)) {
         page = cand;
         break;
       }
     }
     if (page < 0) {
       for (PageId cand = reg.lo; cand <= reg.hi; ++cand) {
-        if (used.insert(cand).second) {
+        if (!used(cand)) {
           page = cand;
           break;
         }
@@ -68,12 +74,11 @@ std::vector<std::pair<PageId, int>> TransactionSource::ChoosePages(int n) {
       // Region exhausted; draw from the whole database.
       for (int attempt = 0; attempt < 1024 && page < 0; ++attempt) {
         PageId cand = static_cast<PageId>(rng_.UniformInt(0, sys_.db_pages - 1));
-        if (used.insert(cand).second) page = cand;
+        if (!used(cand)) page = cand;
       }
     }
-    if (page >= 0) chosen.emplace_back(page, r);
+    if (page >= 0) chosen_.emplace_back(page, r);
   }
-  return chosen;
 }
 
 ReferenceString TransactionSource::NextTransaction() {
@@ -86,49 +91,53 @@ ReferenceString TransactionSource::NextTransaction() {
   }
   ++ordinal_;
   const int opp = sys_.objects_per_page;
-  auto pages = ChoosePages(workload_.trans_size_pages);
+  ChoosePages(workload_.trans_size_pages);
 
-  // Per-page object reference groups.
-  std::vector<std::vector<AccessOp>> groups;
-  groups.reserve(pages.size());
-  for (auto [page, r] : pages) {
+  // Per-page object reference groups, stored back to back in ops_: group g
+  // is ops_[groups_[g].first, groups_[g].second).
+  ops_.clear();
+  groups_.clear();
+  for (auto [page, r] : chosen_) {
+    const std::size_t begin = ops_.size();
     int k = static_cast<int>(rng_.UniformInt(workload_.page_locality_min,
                                              workload_.page_locality_max));
     k = std::min(k, opp);
-    auto slots = rng_.SampleWithoutReplacement(0, opp - 1,
-                                               static_cast<std::size_t>(k));
-    std::vector<AccessOp> group;
-    group.reserve(slots.size());
+    rng_.SampleWithoutReplacement(0, opp - 1, static_cast<std::size_t>(k),
+                                  &slots_);
     const double wp = (*regions_)[r].write_prob;
-    for (auto slot : slots) {
+    for (auto slot : slots_) {
       ObjectId oid = static_cast<ObjectId>(page) * opp + slot;
-      group.push_back({oid, rng_.Bernoulli(wp)});
+      ops_.push_back({oid, rng_.Bernoulli(wp)});
     }
-    groups.push_back(std::move(group));
+    groups_.emplace_back(begin, ops_.size());
   }
 
   ReferenceString out;
+  out.reserve(ops_.size());
+  order_.clear();
   if (workload_.pattern == AccessPattern::kClustered) {
     // All of a page's references appear together; page order is random.
-    rng_.Shuffle(groups);
-    for (auto& g : groups) {
-      out.insert(out.end(), g.begin(), g.end());
+    for (std::size_t g = 0; g < groups_.size(); ++g) order_.push_back(g);
+    rng_.Shuffle(order_);
+    for (std::size_t g : order_) {
+      out.insert(out.end(), ops_.begin() + groups_[g].first,
+                 ops_.begin() + groups_[g].second);
     }
   } else {
     // Unclustered: interleave page groups, preserving within-page order.
-    std::vector<std::size_t> next(groups.size(), 0);
-    std::vector<int> live;
-    for (int i = 0; i < static_cast<int>(groups.size()); ++i) {
-      if (!groups[i].empty()) live.push_back(i);
+    // order_ holds the unfinished groups; a group's first index advances
+    // as it is consumed.
+    for (std::size_t g = 0; g < groups_.size(); ++g) {
+      if (groups_[g].first != groups_[g].second) order_.push_back(g);
     }
-    while (!live.empty()) {
-      int pick = static_cast<int>(
-          rng_.UniformInt(0, static_cast<std::int64_t>(live.size()) - 1));
-      int g = live[pick];
-      out.push_back(groups[g][next[g]++]);
-      if (next[g] == groups[g].size()) {
-        live[pick] = live.back();
-        live.pop_back();
+    while (!order_.empty()) {
+      const auto pick = static_cast<std::size_t>(
+          rng_.UniformInt(0, static_cast<std::int64_t>(order_.size()) - 1));
+      auto& [next, end] = groups_[order_[pick]];
+      out.push_back(ops_[next++]);
+      if (next == end) {
+        order_[pick] = order_.back();
+        order_.pop_back();
       }
     }
   }

@@ -43,9 +43,9 @@ class TransactionSource {
   std::uint64_t transactions_generated() const { return ordinal_; }
 
  private:
-  /// Chooses `n` distinct pages according to the region probabilities.
-  /// Returns (page, region index) pairs.
-  std::vector<std::pair<storage::PageId, int>> ChoosePages(int n);
+  /// Chooses `n` distinct pages according to the region probabilities into
+  /// chosen_, as (page, region index) pairs.
+  void ChoosePages(int n);
 
   const config::WorkloadParams& workload_;
   const config::SystemParams& sys_;
@@ -53,6 +53,12 @@ class TransactionSource {
   storage::ClientId client_;
   std::uint64_t ordinal_ = 0;
   sim::Rng rng_;
+  // NextTransaction scratch, reused across transactions.
+  std::vector<std::pair<storage::PageId, int>> chosen_;
+  std::vector<std::int64_t> slots_;
+  std::vector<AccessOp> ops_;
+  std::vector<std::pair<std::size_t, std::size_t>> groups_;
+  std::vector<std::size_t> order_;
 };
 
 }  // namespace psoodb::workload
