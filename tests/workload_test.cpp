@@ -7,8 +7,10 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "config/params.h"
 #include "storage/database.h"
@@ -300,8 +302,11 @@ TEST(WorkloadTest, ScaledDatabaseScalesRegions) {
 }
 
 // Property sweep: every preset yields in-bounds pages for every client.
-class PresetSweep
-    : public ::testing::TestWithParam<std::pair<const char*, int>> {};
+// The preset name is a std::string, not a const char*, so the parameter
+// gtest prints into the test's listed name is the text, not an address
+// that changes from build to build.
+using Preset = std::pair<std::string, int>;
+class PresetSweep : public ::testing::TestWithParam<Preset> {};
 
 TEST_P(PresetSweep, AllAccessesInBounds) {
   auto sys = DefaultSys();
@@ -328,10 +333,10 @@ TEST_P(PresetSweep, AllAccessesInBounds) {
 
 INSTANTIATE_TEST_SUITE_P(
     Presets, PresetSweep,
-    ::testing::Values(std::pair{"hotcold", 0}, std::pair{"uniform", 1},
-                      std::pair{"hicon", 2}, std::pair{"private", 3},
-                      std::pair{"interleaved", 4}),
-    [](const auto& info) { return std::string(info.param.first); });
+    ::testing::Values(Preset{"hotcold", 0}, Preset{"uniform", 1},
+                      Preset{"hicon", 2}, Preset{"private", 3},
+                      Preset{"interleaved", 4}),
+    [](const auto& info) { return info.param.first; });
 
 }  // namespace
 }  // namespace psoodb::workload
