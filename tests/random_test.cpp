@@ -89,8 +89,9 @@ TEST(RngTest, BernoulliMatchesProbability) {
 
 TEST(RngTest, SampleWithoutReplacementIsDistinctAndInRange) {
   Rng r(29);
+  std::vector<std::int64_t> v{-1, -2};  // stale contents are cleared
   for (std::size_t k : {1u, 5u, 30u, 100u}) {
-    auto v = r.SampleWithoutReplacement(10, 109, k);
+    r.SampleWithoutReplacement(10, 109, k, &v);
     EXPECT_EQ(v.size(), k);
     std::set<std::int64_t> s(v.begin(), v.end());
     EXPECT_EQ(s.size(), k);
@@ -103,7 +104,8 @@ TEST(RngTest, SampleWithoutReplacementIsDistinctAndInRange) {
 
 TEST(RngTest, SampleWithoutReplacementFullRange) {
   Rng r(31);
-  auto v = r.SampleWithoutReplacement(0, 9, 10);
+  std::vector<std::int64_t> v;
+  r.SampleWithoutReplacement(0, 9, 10, &v);
   std::sort(v.begin(), v.end());
   for (int i = 0; i < 10; ++i) EXPECT_EQ(v[i], i);
 }
